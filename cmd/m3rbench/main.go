@@ -1,8 +1,10 @@
 // m3rbench regenerates every figure of the paper's evaluation (§6) on the
 // simulated cluster: for each experiment it prints the same series the
 // paper plots, with engine wall-clock times in seconds. Absolute numbers
-// are scaled (see DESIGN.md); the shapes — who wins, by what factor, what
-// is flat and what is linear — are the reproduction target.
+// are scaled: the cluster's delays come from the sim cost model, whose
+// relation to real work ROADMAP.md's "Baseline" and perfbench/README.md
+// describe. The shapes — who wins, by what factor, what is flat and what
+// is linear — are the reproduction target.
 //
 // Usage:
 //

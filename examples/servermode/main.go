@@ -57,7 +57,7 @@ func main() {
 		log.Fatalf("async submit: %v", err)
 	}
 	fmt.Printf("async job submitted as %s; polling...\n", id)
-	st, err := client.WaitFor(id, 5*time.Millisecond)
+	st, err := client.WaitFor(id, 5*time.Millisecond, time.Minute)
 	if err != nil {
 		log.Fatalf("poll: %v", err)
 	}

@@ -132,10 +132,10 @@ func TestJobQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.WaitFor(id1, time.Millisecond); err != nil {
+	if _, err := client.WaitFor(id1, time.Millisecond, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.WaitFor(id2, time.Millisecond); err != nil {
+	if _, err := client.WaitFor(id2, time.Millisecond, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := client.ListJobs()

@@ -180,7 +180,7 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{id0, id1} {
-		st, err := client.WaitFor(id, time.Millisecond)
+		st, err := client.WaitFor(id, time.Millisecond, time.Minute)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}

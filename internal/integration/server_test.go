@@ -66,7 +66,7 @@ func TestServerModeAsync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("async submit: %v", err)
 	}
-	st, err := client.WaitFor(id, time.Millisecond)
+	st, err := client.WaitFor(id, time.Millisecond, time.Minute)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestServerModeAsync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("async submit: %v", err)
 	}
-	st, err = client.WaitFor(id, time.Millisecond)
+	st, err = client.WaitFor(id, time.Millisecond, time.Minute)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}

@@ -665,6 +665,24 @@ func (x *jobExec) noteSpillQueueDepth(hw int64) {
 	x.cmu.Unlock()
 }
 
+// foldPairStats adds a finished task's clone, alias and local-delivery
+// counts to the engine stats in one step. Tasks defer it, so a failed
+// task's pairs are counted as a successful one's are.
+func (e *Engine) foldPairStats(ctx *engine.TaskContext) {
+	for _, c := range []struct {
+		name string
+		cell *counters.Counter
+	}{
+		{sim.ClonedPairs, ctx.Cells.ClonedPairs},
+		{sim.AliasedPairs, ctx.Cells.AliasedPairs},
+		{sim.LocalPairs, ctx.Cells.LocalShufflePairs},
+	} {
+		if n := c.cell.Value(); n != 0 {
+			e.stats.Add(c.name, n)
+		}
+	}
+}
+
 func (x *jobExec) mergeCounters(ctx *engine.TaskContext) {
 	x.cmu.Lock()
 	x.jc.MergeFrom(ctx.Counters)
@@ -857,6 +875,7 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(a.index))
 	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.jobID, a.index)
 	ctx := engine.NewTaskContext(taskJob, taskID, a.split)
+	defer e.foldPairStats(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedMaps, 1)
 
 	mr := x.rj.NewMapRun()
@@ -1328,6 +1347,7 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(q))
 	taskID := fmt.Sprintf("attempt_%s_r_%06d_0", x.jobID, q)
 	ctx := engine.NewTaskContext(taskJob, taskID, nil)
+	defer e.foldPairStats(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedReduces, 1)
 
 	// The HMR API promises reducers sorted input even in memory. Map tasks
@@ -1388,10 +1408,8 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 			ck, cv := k, v
 			if !x.rj.ReduceImmutable {
 				ck, cv = wio.MustClone(k), wio.MustClone(v)
-				e.stats.Add(sim.ClonedPairs, 1)
 				cells.ClonedPairs.Increment(1)
 			} else {
-				e.stats.Add(sim.AliasedPairs, 1)
 				cells.AliasedPairs.Increment(1)
 			}
 			cacheW.Append(wio.Pair{Key: ck, Value: cv})

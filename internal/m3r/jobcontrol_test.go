@@ -30,9 +30,9 @@ func TestKillDuringSpillWrite(t *testing.T) {
 		return spill.WriteEncodedFile(path, enc)
 	})
 
+	root := scopeSpillDirs(t)
 	e := newFaultEngine(t, 2)
 	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
-	dirBase := leftoverSpillDirs(t)
 
 	lc := engine.NewJobLifecycle()
 	errCh := make(chan error, 1)
@@ -68,7 +68,7 @@ func TestKillDuringSpillWrite(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if got := leftoverSpillDirs(t); got != dirBase {
-		t.Errorf("%d spill scratch dirs left behind (baseline %d)", got, dirBase)
+	if n := leftoverSpillDirs(t, root); n != 0 {
+		t.Errorf("%d spill scratch dirs left behind", n)
 	}
 }

@@ -131,24 +131,14 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 		k, v := key, value
 		if !sc.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			sc.countClone()
+			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			sc.countAlias()
+			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		sc.combineBufs[q] = append(sc.combineBufs[q], wio.Pair{Key: k, Value: v})
 		return nil
 	}
 	return sc.deliver(q, key, value, sc.immutable)
-}
-
-func (sc *shuffleCollector) countClone() {
-	sc.x.e.stats.Add(sim.ClonedPairs, 1)
-	sc.ctx.Cells.ClonedPairs.Increment(1)
-}
-
-func (sc *shuffleCollector) countAlias() {
-	sc.x.e.stats.Add(sim.AliasedPairs, 1)
-	sc.ctx.Cells.AliasedPairs.Increment(1)
 }
 
 // deliver routes one pair to its partition's place.
@@ -160,13 +150,12 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		k, v := key, value
 		if !immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			sc.countClone()
+			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			sc.countAlias()
+			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		sc.localBufs[q] = append(sc.localBufs[q], wio.Pair{Key: k, Value: v})
 		sc.ctx.Cells.LocalShufflePairs.Increment(1)
-		sc.x.e.stats.Add(sim.LocalPairs, 1)
 		return nil
 	}
 	// Remote: serialize now (immediately, like Hadoop's collect — the
@@ -372,10 +361,8 @@ func (moc *mapOnlyCollector) Collect(key, value wio.Writable) error {
 		k, v := key, value
 		if !moc.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			moc.x.e.stats.Add(sim.ClonedPairs, 1)
 			moc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			moc.x.e.stats.Add(sim.AliasedPairs, 1)
 			moc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		moc.cacheW.Append(wio.Pair{Key: k, Value: v})

@@ -58,10 +58,20 @@ func spillingJob(out string) *conf.JobConf {
 	return job
 }
 
-// leftoverSpillDirs counts m3r spill scratch directories still on disk.
-func leftoverSpillDirs(t *testing.T) int {
+// scopeSpillDirs points the process temp dir at a fresh per-test root, so
+// the engine's spill scratch dirs land there and engines in other test
+// packages cannot show up in leftoverSpillDirs. Call it before the engine
+// is built.
+func scopeSpillDirs(t *testing.T) string {
+	root := t.TempDir()
+	t.Setenv("TMPDIR", root)
+	return root
+}
+
+// leftoverSpillDirs counts m3r spill scratch directories still under root.
+func leftoverSpillDirs(t *testing.T, root string) int {
 	t.Helper()
-	m, err := filepath.Glob(filepath.Join(os.TempDir(), "m3r-spill-*"))
+	m, err := filepath.Glob(filepath.Join(root, "m3r-spill-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +97,7 @@ func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
 		return spill.WriteEncodedFile(path, enc)
 	})
 
+	root := scopeSpillDirs(t)
 	e := newFaultEngine(t, 1)
 	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
 	_, err := e.Submit(spillingJob("/out/wc"))
@@ -108,7 +119,7 @@ func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if n := leftoverSpillDirs(t); n != 0 {
+	if n := leftoverSpillDirs(t, root); n != 0 {
 		t.Errorf("%d spill scratch dirs left behind", n)
 	}
 }
@@ -128,6 +139,7 @@ func TestSpillWorkerDiskFullFailsJob(t *testing.T) {
 		return spill.WriteEncodedFile(path, enc)
 	})
 
+	root := scopeSpillDirs(t)
 	e := newFaultEngine(t, 2)
 	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
 	_, err := e.Submit(spillingJob("/out/wc"))
@@ -143,7 +155,7 @@ func TestSpillWorkerDiskFullFailsJob(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d", got, bufBase)
 	}
-	if n := leftoverSpillDirs(t); n != 0 {
+	if n := leftoverSpillDirs(t, root); n != 0 {
 		t.Errorf("%d spill scratch dirs (with the partial file) left behind", n)
 	}
 }
@@ -156,6 +168,7 @@ func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
 		panic("simulated corruption in the spill encoder")
 	})
 
+	root := scopeSpillDirs(t)
 	e := newFaultEngine(t, 1)
 	_, err := e.Submit(spillingJob("/out/wc"))
 	if err == nil {
@@ -164,7 +177,7 @@ func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
 	if !strings.Contains(err.Error(), "spill worker panicked") {
 		t.Fatalf("panic not surfaced as a worker failure: %v", err)
 	}
-	if n := leftoverSpillDirs(t); n != 0 {
+	if n := leftoverSpillDirs(t, root); n != 0 {
 		t.Errorf("%d spill scratch dirs left behind", n)
 	}
 }

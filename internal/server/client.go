@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -189,8 +190,14 @@ func (c *Client) ListJobs() ([]JobSummary, error) {
 	return out, nil
 }
 
-// WaitFor polls until the job leaves the running state.
-func (c *Client) WaitFor(jobID string, interval time.Duration) (*JobStatus, error) {
+// ErrWaitTimeout is WaitFor's error when the job is still running at the
+// deadline.
+var ErrWaitTimeout = errors.New("server: timed out waiting for job")
+
+// WaitFor polls every interval until the job leaves the running state, and
+// fails with ErrWaitTimeout if it is still running after timeout.
+func (c *Client) WaitFor(jobID string, interval, timeout time.Duration) (*JobStatus, error) {
+	deadline := time.Now().Add(timeout)
 	for {
 		st, err := c.Poll(jobID)
 		if err != nil {
@@ -198,6 +205,9 @@ func (c *Client) WaitFor(jobID string, interval time.Duration) (*JobStatus, erro
 		}
 		if st.State != StateRunning {
 			return st, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("%w: %s still %s after %v", ErrWaitTimeout, jobID, st.State, timeout)
 		}
 		time.Sleep(interval)
 	}

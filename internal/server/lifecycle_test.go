@@ -72,7 +72,7 @@ func TestServerKillRPC(t *testing.T) {
 	if err != nil || state != StateRunning {
 		t.Fatalf("kill answered state %q err=%v, want running", state, err)
 	}
-	st, err := client.WaitFor(id, time.Millisecond)
+	st, err := client.WaitFor(id, time.Millisecond, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

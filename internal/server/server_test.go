@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -76,7 +77,7 @@ func TestServerBoundsCompletedJobRetention(t *testing.T) {
 		ids = append(ids, id)
 		// Wait for terminal state so the sequence is deterministic: at most
 		// one job is ever running, so retention alone decides the map size.
-		if _, err := client.WaitFor(id, time.Millisecond); err != nil {
+		if _, err := client.WaitFor(id, time.Millisecond, time.Minute); err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
 	}
@@ -121,7 +122,7 @@ func TestServerBoundsCompletedJobRetention(t *testing.T) {
 // retention window must survive eviction while it runs.
 func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 	release := make(chan struct{})
-	eng := &blockingEngine{release: release}
+	eng := &blockingEngine{release: release, blockName: "slow"}
 	srv, err := ServeWithRetention(eng, "127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,9 @@ func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slow, err := client.SubmitAsync(conf.NewJob()) // blocks in Submit
+	slowJob := conf.NewJob()
+	slowJob.SetJobName(eng.blockName) // blocks in Submit
+	slow, err := client.SubmitAsync(slowJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.WaitFor(id, time.Millisecond); err != nil {
+		if _, err := client.WaitFor(id, time.Millisecond, time.Minute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,17 +153,44 @@ func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 		t.Fatalf("old running job: %+v err=%v", st, err)
 	}
 	close(release)
-	st, err = client.WaitFor(slow, time.Millisecond)
+	st, err = client.WaitFor(slow, time.Millisecond, time.Minute)
 	if err != nil || st.State != StateSucceeded {
 		t.Fatalf("released job: %+v err=%v", st, err)
 	}
 }
 
-// blockingEngine blocks the first Submit until released; later submits
-// return immediately.
+// TestWaitForTimesOut: waiting on a job that never finishes fails with
+// ErrWaitTimeout at the deadline instead of polling forever.
+func TestWaitForTimesOut(t *testing.T) {
+	release := make(chan struct{})
+	eng := &blockingEngine{release: release, blockName: "stuck"}
+	srv, err := Serve(eng, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(release) // before Close, which waits for the job
+	client, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := conf.NewJob()
+	job.SetJobName(eng.blockName)
+	id, err := client.SubmitAsync(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.WaitFor(id, time.Millisecond, 20*time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("WaitFor on a stuck job = %v, want ErrWaitTimeout", err)
+	}
+}
+
+// blockingEngine blocks every Submit of the job named blockName until
+// released; other jobs return immediately, whatever order the server
+// runs them in.
 type blockingEngine struct {
-	release <-chan struct{}
-	once    sync.Once
+	release   <-chan struct{}
+	blockName string
 }
 
 func (e *blockingEngine) Name() string       { return "stub" }
@@ -168,9 +198,7 @@ func (e *blockingEngine) FileSystem() string { return "stub-fs" }
 func (e *blockingEngine) Close() error       { return nil }
 
 func (e *blockingEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
-	blocked := false
-	e.once.Do(func() { blocked = true })
-	if blocked {
+	if job.JobName() == e.blockName {
 		<-e.release
 	}
 	return &engine.Report{JobID: "stub", Engine: "stub", Counters: counters.New()}, nil

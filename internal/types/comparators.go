@@ -32,6 +32,12 @@ func (TextRawComparator) CompareRaw(a, b []byte) int {
 	return bytes.Compare(a[na:na+int(la)], b[nb:nb+int(lb)])
 }
 
+// AppendNormalizedKey implements wio.KeyNormalizer: Text orders by its
+// content bytes.
+func (TextRawComparator) AppendNormalizedKey(dst []byte, k wio.Writable) []byte {
+	return append(dst, k.(*Text).B...)
+}
+
 // IntRawComparator orders serialized IntWritables numerically.
 type IntRawComparator struct{}
 
@@ -52,6 +58,12 @@ func (IntRawComparator) CompareRaw(a, b []byte) int {
 	return 0
 }
 
+// AppendNormalizedKey implements wio.KeyNormalizer: big-endian with the
+// sign bit flipped, as CompareRaw reads it.
+func (IntRawComparator) AppendNormalizedKey(dst []byte, k wio.Writable) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(k.(*IntWritable).V)^0x80000000)
+}
+
 // LongRawComparator orders serialized LongWritables numerically.
 type LongRawComparator struct{}
 
@@ -69,6 +81,12 @@ func (LongRawComparator) CompareRaw(a, b []byte) int {
 		return 1
 	}
 	return 0
+}
+
+// AppendNormalizedKey implements wio.KeyNormalizer: big-endian with the
+// sign bit flipped, as CompareRaw reads it.
+func (LongRawComparator) AppendNormalizedKey(dst []byte, k wio.Writable) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(k.(*LongWritable).V)^0x8000000000000000)
 }
 
 // DoubleRawComparator orders serialized DoubleWritables by the IEEE-754
@@ -103,6 +121,12 @@ func (DoubleRawComparator) CompareRaw(a, b []byte) int {
 		totalOrderKey(binary.BigEndian.Uint64(a)),
 		totalOrderKey(binary.BigEndian.Uint64(b)),
 	)
+}
+
+// AppendNormalizedKey implements wio.KeyNormalizer: the big-endian
+// total-order key Compare and CompareRaw compare.
+func (DoubleRawComparator) AppendNormalizedKey(dst []byte, k wio.Writable) []byte {
+	return binary.BigEndian.AppendUint64(dst, totalOrderKey(math.Float64bits(k.(*DoubleWritable).V)))
 }
 
 // totalOrderKey maps IEEE-754 bits onto unsigned-comparable keys: negatives

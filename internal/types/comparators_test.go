@@ -1,6 +1,7 @@
 package types_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -137,5 +138,78 @@ func TestDoubleRawSortEquivalence(t *testing.T) {
 func TestDoubleRawComparatorWired(t *testing.T) {
 	if _, ok := types.RawComparatorFor(types.DoubleName).(types.DoubleRawComparator); !ok {
 		t.Error("DoubleName should resolve to DoubleRawComparator")
+	}
+}
+
+// TestNormalizedKeyOrderMatchesCompareRaw is the KeyNormalizer contract
+// for every standard comparator that implements it: bytes.Compare of two
+// normalized keys has the sign of CompareRaw over the serialized keys and
+// of Compare over the keys, and normalized keys are equal exactly when the
+// keys compare equal. The edge values cover -0 vs +0, NaN payloads of
+// both signs, the integer extremes, empty Text, and Text prefixes.
+func TestNormalizedKeyOrderMatchesCompareRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var texts, ints, longs, doubles []wio.Writable
+	for _, s := range []string{"", "a", "ab", "abc", "abd", "b", "\x00", "a\x00", "\xff", "\xff\xff", "é"} {
+		texts = append(texts, types.NewText(s))
+	}
+	for _, v := range []int32{math.MinInt32, math.MinInt32 + 1, -256, -1, 0, 1, 255, 256, math.MaxInt32 - 1, math.MaxInt32} {
+		ints = append(ints, types.NewInt(v))
+	}
+	for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt32, -1, 0, 1, math.MaxInt32, math.MaxInt64 - 1, math.MaxInt64} {
+		longs = append(longs, types.NewLong(v))
+	}
+	for _, bits := range []uint64{
+		0x8000000000000000, 0, // -0, +0
+		0x7ff8000000000000, 0x7ff8000000000001, 0x7ff0000000000001, 0x7fffffffffffffff, // NaN payloads
+		0xfff8000000000000, 0xfff0000000000001, 0xffffffffffffffff, // negative NaNs
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		1, 0x8000000000000001, // ±smallest denormal
+		0x3ff8000000000000, 0xbff8000000000000, // ±1.5
+	} {
+		doubles = append(doubles, types.NewDouble(math.Float64frombits(bits)))
+	}
+	for i := 0; i < 40; i++ {
+		b := make([]byte, rng.Intn(5))
+		for j := range b {
+			b[j] = []byte{0, 'a', 'b', 0xff}[rng.Intn(4)]
+		}
+		texts = append(texts, &types.Text{B: b})
+		ints = append(ints, types.NewInt(int32(rng.Uint32())))
+		longs = append(longs, types.NewLong(int64(rng.Uint64())))
+		doubles = append(doubles, types.NewDouble(math.Float64frombits(rng.Uint64())))
+	}
+	for _, tc := range []struct {
+		cmp  wio.RawComparator
+		keys []wio.Writable
+	}{
+		{types.TextRawComparator{}, texts},
+		{types.IntRawComparator{}, ints},
+		{types.LongRawComparator{}, longs},
+		{types.DoubleRawComparator{}, doubles},
+	} {
+		norm, ok := tc.cmp.(wio.KeyNormalizer)
+		if !ok {
+			t.Fatalf("%T does not implement wio.KeyNormalizer", tc.cmp)
+		}
+		for _, a := range tc.keys {
+			for _, b := range tc.keys {
+				ab, err := wio.Marshal(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bb, err := wio.Marshal(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := sign(bytes.Compare(norm.AppendNormalizedKey(nil, a), norm.AppendNormalizedKey(nil, b)))
+				if raw := sign(tc.cmp.CompareRaw(ab, bb)); got != raw {
+					t.Errorf("%T: %v vs %v: normalized order %d, CompareRaw %d", tc.cmp, a, b, got, raw)
+				}
+				if c := sign(tc.cmp.Compare(a, b)); got != c {
+					t.Errorf("%T: %v vs %v: normalized order %d, Compare %d", tc.cmp, a, b, got, c)
+				}
+			}
+		}
 	}
 }

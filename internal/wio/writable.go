@@ -48,6 +48,16 @@ type RawComparator interface {
 	CompareRaw(a, b []byte) int
 }
 
+// KeyNormalizer is an optional Comparator extension that maps a key to a
+// byte string ordered like the comparator: for any keys a and b,
+// bytes.Compare of their normalized forms has the sign of Compare(a, b),
+// and the forms are equal exactly when Compare returns 0. Engines use it
+// to group equal keys by hashing instead of sorting every occurrence.
+type KeyNormalizer interface {
+	// AppendNormalizedKey appends k's normalized form to dst.
+	AppendNormalizedKey(dst []byte, k Writable) []byte
+}
+
 // ComparatorFunc adapts a function to the Comparator interface.
 type ComparatorFunc func(a, b Writable) int
 

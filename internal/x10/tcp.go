@@ -305,7 +305,7 @@ func (s *FrameServer) Addr() string { return s.ln.Addr().String() }
 // Place returns the place this server owns.
 func (s *FrameServer) Place() int { return s.place }
 
-// Served reports how many frames this worker has delivered.
+// Served reports how many frames this worker has accepted for delivery.
 func (s *FrameServer) Served() int64 { return s.served.Load() }
 
 func (s *FrameServer) acceptLoop() {
@@ -371,10 +371,13 @@ func (s *FrameServer) handle(conn net.Conn) {
 			s.reply(conn, w, bw, fmt.Sprintf("x10: frame for place %d reached worker for place %d", to, s.place), nil)
 			continue
 		}
+		// Count the frame before replying, so a client holding its reply
+		// always sees the frame in Served.
+		n := s.served.Add(1)
 		if err := s.reply(conn, w, bw, "", frame); err != nil {
 			return
 		}
-		if n := s.served.Add(1); s.fail > 0 && n >= s.fail {
+		if s.fail > 0 && n >= s.fail {
 			// Fault injection: the worker "dies" — every connection drops
 			// and the listener closes, so redials fail too.
 			s.Close()
