@@ -53,12 +53,10 @@ var (
 	useServer  = flag.Bool("server", false, "submit through the TCP jobtracker protocol (server mode)")
 	transport  = flag.String("transport", "inproc", "place transport: inproc (all places in this process) or tcp (one worker process per node)")
 	sizeMB     = flag.Int64("mb", 4, "input size in MB (wordcount)")
-	// Shuffle memory lifecycle knobs (shorthand for the corresponding -D
-	// keys; see internal/conf: m3r.shuffle.budget.bytes / .spill.queue /
-	// .readmit).
-	budget     = flag.Int64("shuffle-budget", 0, "per-job, per-place shuffle budget in bytes (0 = unlimited; with -engine-shuffle-budget, the job's cap within the pool)")
-	spillQueue = flag.Int("spill-queue", 0, "async spill queue depth per place (0 = synchronous spills)")
-	readmit    = flag.Bool("readmit", false, "readmit spilled runs to memory when released budget makes room")
+	// Shuffle memory knobs (shorthand for the corresponding -D keys; see
+	// internal/conf: m3r.shuffle.budget.bytes / m3r.shuffle.compress.codec).
+	// Runs that overflow the budget are spilled inline by the map task.
+	budget     = flag.Int64("shuffle-budget", 0, "per-job, per-place shuffle budget in bytes; overflowing runs spill to disk (0 = unlimited; with -engine-shuffle-budget, the job's cap within the pool)")
 	spillCodec = flag.String("spill-codec", "", "spill block compression codec: none or flate (default M3R_SPILL_CODEC env, else none)")
 	// The engine pool is engine-lifetime state (m3r.engine.shuffle.budget.bytes),
 	// so it configures the cluster, not a job: all jobs of the sequence —
@@ -182,10 +180,6 @@ func main() {
 		switch f.Name {
 		case "shuffle-budget":
 			confProps = append(confProps, fmt.Sprintf("%s=%d", conf.KeyM3RShuffleBudget, *budget))
-		case "spill-queue":
-			confProps = append(confProps, fmt.Sprintf("%s=%d", conf.KeyM3RSpillQueue, *spillQueue))
-		case "readmit":
-			confProps = append(confProps, fmt.Sprintf("%s=%t", conf.KeyM3RReadmit, *readmit))
 		case "spill-codec":
 			confProps = append(confProps, fmt.Sprintf("%s=%s", conf.KeyM3RSpillCodec, *spillCodec))
 		case "deadline":

@@ -105,23 +105,6 @@ const (
 	// engines in the task-scoped conf. Library code uses it to build
 	// per-task file names (MultipleOutputs' "name-r-00002" suffixes).
 	KeyTaskPartition = "mapred.task.partition"
-	// KeyM3RSpillQueue bounds the per-place async spill queue: when
-	// positive, shuffle runs that overflow the budget are handed to a
-	// per-place spill worker goroutine through a channel of this capacity,
-	// overlapping disk encode/write with mapping instead of serializing the
-	// write into map flush. A full queue applies backpressure to the
-	// flushing map task. 0 (the default) keeps the PR-2 synchronous spill
-	// path: the map task writes the run to disk inline. Output is
-	// byte-identical at every depth; a spill-worker write error or panic
-	// fails the job and cancels the spills still queued.
-	KeyM3RSpillQueue = "m3r.shuffle.spill.queue"
-	// KeyM3RReadmit, when true, lets a reduce task promote a spilled run
-	// back to a resident (in-memory) run at merge-open time if the place's
-	// budget accountant has room — budget released as earlier partitions
-	// drained their resident runs is spent readmitting later partitions'
-	// runs, trading a second disk read for stream-decode during the merge.
-	// Default false. Output is byte-identical either way.
-	KeyM3RReadmit = "m3r.shuffle.readmit"
 	// KeyM3RSpillCodec selects the block compression codec for spilled
 	// runs and map-side sort spills in both engines: "none" (the default;
 	// the raw layout, byte-identical to prior releases) or "flate"

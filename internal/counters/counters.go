@@ -60,16 +60,9 @@ const (
 	// observable compression ratio (equal when the codec is none).
 	SpilledBytes    = "SPILLED_BYTES"
 	SpilledRawBytes = "SPILLED_RAW_BYTES"
-	// SpillQueueDepth is the high-water mark of the async spill queue
-	// (m3r.shuffle.spill.queue) across the job's places: how far map flush
-	// ran ahead of the spill worker's disk writes.
-	SpillQueueDepth = "SPILL_QUEUE_DEPTH"
 	// BudgetReleasedBytes counts shuffle-budget bytes handed back to the
 	// place accountants as reduce tasks drained resident runs.
 	BudgetReleasedBytes = "BUDGET_RELEASED_BYTES"
-	// ReadmittedRuns counts spilled runs promoted back to memory at merge
-	// open because released budget made room (m3r.shuffle.readmit).
-	ReadmittedRuns = "READMITTED_RUNS"
 	// PoolContendedBytes counts run bytes whose first reservation against
 	// the place's shuffle budget pool failed — shared-pool pressure on a
 	// pooled engine; on an unpooled engine, the job's own budget filling

@@ -24,7 +24,7 @@ func CloseAllOnErr[C interface{ Close() error }](open []C) {
 // torn down early), whichever comes first. The M3R engine uses it to hand a
 // resident run's bytes back to its place's BudgetPool as MergeIter /
 // StageSources drain the run — the incremental release that lets a long
-// reduce phase readmit later runs to memory instead of spilling them.
+// reduce phase hand budget back for later partitions and other jobs.
 type releasingRunReader struct {
 	inner   RunReader
 	release func()

@@ -280,7 +280,7 @@ type jobRun struct {
 
 // resolveSpillCodec resolves the spill compression codec: the job's key
 // wins, then the M3R_SPILL_CODEC environment default (how the CI
-// compressed-spill leg turns it on suite-wide), then none.
+// tight-budget leg's flate entry turns it on suite-wide), then none.
 func resolveSpillCodec(job *conf.JobConf) (spill.Codec, error) {
 	name := ""
 	if job.Has(conf.KeyM3RSpillCodec) {

@@ -200,7 +200,7 @@ func init() {
 // ---- the kill grid ----
 
 // killLeg is one point of the kill grid: where the gate sits and the job
-// configuration that makes that phase real (spills queued, staged merge
+// configuration that makes that phase real (runs spilling, staged merge
 // engaged, ...).
 type killLeg struct {
 	name        string
@@ -212,14 +212,13 @@ type killLeg struct {
 var killLegs = []killLeg{
 	// Mid-map: every task blocks at its first record.
 	{name: "map", mapPoint: "map"},
-	// Mid-map with the async spill pipeline engaged: a starvation budget
-	// spills every run through a depth-2 queue (m3r) / a tiny sort buffer
+	// Mid-map with the spill path engaged: a starvation budget spills
+	// every run inline as its map task flushes (m3r) / a tiny sort buffer
 	// forces multi-spill map tasks (hadoop); the third task blocks mid-map
-	// while earlier tasks' spills move through the machinery.
+	// after earlier tasks' spills went through the machinery.
 	{name: "spill", mapPoint: "task", conf: func(job *conf.JobConf) {
 		job.SetInt("test.gate.task", 3)
 		job.SetInt64(conf.KeyM3RShuffleBudget, 1)
-		job.SetInt(conf.KeyM3RSpillQueue, 2)
 		job.SetInt64("io.sort.bytes", 256)
 	}},
 	// Map tail / shuffle barrier: one task blocks in Close while every

@@ -102,6 +102,14 @@ func New(opts Options) (*Engine, error) {
 	if opts.Backing == nil {
 		return nil, fmt.Errorf("m3r: Options.Backing is required")
 	}
+	poolBudget, err := budgetBytes(opts.ShuffleBudgetBytes, "M3R_ENGINE_SHUFFLE_BUDGET_BYTES")
+	if err != nil {
+		return nil, err
+	}
+	cacheBudget, err := budgetBytes(opts.CacheBudgetBytes, "M3R_CACHE_BUDGET_BYTES")
+	if err != nil {
+		return nil, err
+	}
 	cost := opts.Cost
 	if cost == nil {
 		cost = sim.Zero()
@@ -116,30 +124,30 @@ func New(opts Options) (*Engine, error) {
 	cache := NewCache(rt)
 	cfs := NewCachingFileSystem(opts.Backing, cache, rt)
 	var pools []*engine.BudgetPool
-	if b := poolBudgetBytes(opts.ShuffleBudgetBytes); b > 0 {
+	if poolBudget > 0 {
 		pools = make([]*engine.BudgetPool, rt.NumPlaces())
 		for p := range pools {
-			pools[p] = engine.NewBudgetPool(b)
+			pools[p] = engine.NewBudgetPool(poolBudget)
 		}
 	}
 	var gov *cacheGovernor
-	if b := cacheBudgetBytes(opts.CacheBudgetBytes); b > 0 {
+	if cacheBudget > 0 {
 		// Cache entries spill in the shared spill record format; the codec
 		// follows the engine-wide environment default (the per-job key
 		// cannot apply: entries outlive jobs).
 		codec, err := spill.ParseCodec(os.Getenv("M3R_SPILL_CODEC"))
 		if err != nil {
 			rt.Close()
-			return nil, fmt.Errorf("m3r: cache budget: %w", err)
+			return nil, fmt.Errorf("m3r: cache budget: M3R_SPILL_CODEC: %w", err)
 		}
 		budgets := make([]*engine.JobBudget, rt.NumPlaces())
 		for p := range budgets {
 			if pools != nil {
 				// Pooled engine: cache reservations share the place's pool
 				// with the jobs' shuffle tags, capped at the cache budget.
-				budgets[p] = pools[p].Job(cacheTag, b)
+				budgets[p] = pools[p].Job(cacheTag, cacheBudget)
 			} else {
-				budgets[p] = engine.NewBudgetPool(b).Job(cacheTag, 0)
+				budgets[p] = engine.NewBudgetPool(cacheBudget).Job(cacheTag, 0)
 			}
 		}
 		gov = newCacheGovernor(opts.Stats, cache.Store(), budgets, codec)
@@ -158,38 +166,26 @@ func New(opts Options) (*Engine, error) {
 	}, nil
 }
 
-// poolBudgetBytes resolves the engine pool size: an explicit option wins
-// (negative = no pool, even under the env default), otherwise the
-// M3R_ENGINE_SHUFFLE_BUDGET_BYTES environment default applies — how CI's
-// tight-budget leg gives every test engine a contended pool without every
-// test knowing about pooling.
-func poolBudgetBytes(opt int64) int64 {
+// budgetBytes resolves an engine-lifetime budget (the shuffle pool or the
+// cache): an explicit option wins (negative = off, even under the env
+// default), otherwise the named environment default applies — how CI's
+// tight-budget and cache-budget legs drive whole suites through the pool
+// and the cache tier without every test knowing about budgets. A malformed
+// value is an error naming the variable, never a silently unbudgeted
+// engine.
+func budgetBytes(opt int64, env string) (int64, error) {
 	if opt != 0 {
-		return opt
+		return opt, nil
 	}
-	if v := os.Getenv("M3R_ENGINE_SHUFFLE_BUDGET_BYTES"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
+	v := os.Getenv(env)
+	if v == "" {
+		return 0, nil
 	}
-	return 0
-}
-
-// cacheBudgetBytes resolves the per-place cache budget the same way: an
-// explicit option wins (negative = unbounded, even under the env default),
-// otherwise the M3R_CACHE_BUDGET_BYTES environment default applies — how
-// CI's tight-cache leg drives whole example suites through the cache
-// spill/readmit tier without every test knowing about the budget.
-func cacheBudgetBytes(opt int64) int64 {
-	if opt != 0 {
-		return opt
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("m3r: %s=%q: %w", env, v, err)
 	}
-	if v := os.Getenv("M3R_CACHE_BUDGET_BYTES"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
+	return n, nil
 }
 
 // Name implements engine.Engine.
@@ -352,7 +348,9 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		return nil, err
 	}
 
-	applyEnvDefaults(job)
+	if err := applyEnvDefaults(job); err != nil {
+		return nil, err
+	}
 	spillCodec, err := spill.ParseCodec(job.GetDefault(conf.KeyM3RSpillCodec, ""))
 	if err != nil {
 		return nil, err
@@ -367,7 +365,6 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		cacheEnabled:  job.GetBool(conf.KeyM3RCache, true),
 		dedup:         job.GetBool(conf.KeyM3RDedup, true),
 		shuffleBudget: job.GetInt64(conf.KeyM3RShuffleBudget, 0),
-		readmit:       job.GetBool(conf.KeyM3RReadmit, false),
 		codec:         spillCodec,
 		mergeCfg:      engine.MergeConfigFromJob(job),
 	}
@@ -402,12 +399,6 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(jobID, 0)
 			}
 			x.resident[p] = newResidentSet()
-		}
-		if depth := job.GetInt(conf.KeyM3RSpillQueue, 0); depth > 0 {
-			x.spillQ = make([]*spillQueue, e.rt.NumPlaces())
-			for p := range x.spillQ {
-				x.spillQ[p] = newSpillQueue(x, p, depth)
-			}
 		}
 	}
 	outPath := job.OutputPath()
@@ -474,8 +465,8 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		if job.GetBool(conf.KeyM3RFailover, false) && e.fallback != nil {
 			// §5.3 integrated-mode resilience: M3R itself does not recover
 			// from task failure, but the job can be rerun on the resilient
-			// engine. Roll this attempt fully back first — drain the spill
-			// pipeline and pool reservations now (cleanup is idempotent;
+			// engine. Roll this attempt fully back first — drain the pool
+			// reservations and spill directory now (cleanup is idempotent;
 			// the deferred call becomes a no-op) and drop whatever output
 			// this attempt committed into the cache, so the fallback run's
 			// real files are not shadowed by stale cache entries.
@@ -555,29 +546,23 @@ type jobExec struct {
 	dedup        bool
 	cmu          sync.Mutex
 
-	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget / KeyM3RSpillQueue
-	// / KeyM3RReadmit, over the engine pool of
-	// conf.KeyM3REngineShuffleBudget when one is configured): when the job
-	// is budgeted, each place accounts its resident shuffle runs against
-	// budgets[place] — the job's tagged view of the place's pool — and runs
-	// that cannot be admitted spill to disk in the shared spill record
-	// format (internal/spill), re-entering the merge through stream-backed
-	// leaves. Under contention the largest-first policy may instead
-	// re-spill a larger cold resident run (tracked per place in resident)
-	// to keep the smaller newcomer in memory. With a queue depth configured
-	// the spill writes run on per-place worker goroutines (spillQ),
-	// overlapping disk with mapping; the reservations release incrementally
-	// as reduce tasks drain resident runs, and — with readmit — freed
-	// budget promotes spilled runs back to memory at merge open. Unbudgeted
-	// jobs (no pool and no positive per-job budget, or an explicit
-	// non-positive per-job budget) skip all accounting: the paper's pure
-	// in-memory design point.
+	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget, over the engine
+	// pool of conf.KeyM3REngineShuffleBudget when one is configured): when
+	// the job is budgeted, each place accounts its resident shuffle runs
+	// against budgets[place] — the job's tagged view of the place's pool —
+	// and runs that cannot be admitted are written inline, by the task that
+	// produced them, to disk in the shared spill record format
+	// (internal/spill), re-entering the merge through stream-backed leaves.
+	// Under contention the largest-first policy may instead re-spill a
+	// larger cold resident run (tracked per place in resident) to keep the
+	// smaller newcomer in memory. The reservations release incrementally as
+	// reduce tasks drain resident runs. Unbudgeted jobs (no pool and no
+	// positive per-job budget, or an explicit non-positive per-job budget)
+	// skip all accounting: the paper's pure in-memory design point.
 	shuffleBudget int64
-	readmit       bool
 	codec         spill.Codec // block compression for spilled runs (conf.KeyM3RSpillCodec)
 	budgets       []*engine.JobBudget
 	resident      []*residentSet
-	spillQ        []*spillQueue
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
@@ -588,24 +573,74 @@ type jobExec struct {
 	mergeCfg engine.MergeConfig
 }
 
-// applyEnvDefaults fills the shuffle-lifecycle knobs from the environment
-// when the job leaves them unset. CI's tight-budget leg drives the whole
-// suite through the spill pipeline this way (M3R_SHUFFLE_BUDGET_BYTES=4096)
-// without every test knowing about budgets; a job that sets a key
-// explicitly — including an explicit 0 for "unlimited" — always wins.
-func applyEnvDefaults(job *conf.JobConf) {
-	for key, env := range map[string]string{
-		conf.KeyM3RShuffleBudget: "M3R_SHUFFLE_BUDGET_BYTES",
-		conf.KeyM3RSpillQueue:    "M3R_SHUFFLE_SPILL_QUEUE",
-		conf.KeyM3RReadmit:       "M3R_SHUFFLE_READMIT",
-		conf.KeyM3RSpillCodec:    "M3R_SPILL_CODEC",
+// applyEnvDefaults fills the shuffle knobs from the environment when the
+// job leaves them unset. CI's tight-budget leg drives the whole suite
+// through the spill path this way (M3R_SHUFFLE_BUDGET_BYTES=4096) without
+// every test knowing about budgets; a job that sets a key explicitly —
+// including an explicit 0 for "unlimited" — always wins. A malformed value
+// fails the job with an error naming the variable: copied through as is,
+// it would read as 0 and quietly opt the job out of the pool.
+func applyEnvDefaults(job *conf.JobConf) error {
+	for _, d := range []struct {
+		key, env string
+		check    func(string) error
+	}{
+		{conf.KeyM3RShuffleBudget, "M3R_SHUFFLE_BUDGET_BYTES", func(v string) error {
+			_, err := strconv.ParseInt(v, 10, 64)
+			return err
+		}},
+		{conf.KeyM3RSpillCodec, "M3R_SPILL_CODEC", func(v string) error {
+			_, err := spill.ParseCodec(v)
+			return err
+		}},
 	} {
-		if !job.Has(key) {
-			if v := os.Getenv(env); v != "" {
-				job.Set(key, v)
-			}
+		v := os.Getenv(d.env)
+		if v == "" || job.Has(d.key) {
+			continue
 		}
+		if err := d.check(v); err != nil {
+			return fmt.Errorf("m3r: %s=%q: %w", d.env, v, err)
+		}
+		job.Set(d.key, v)
 	}
+	return nil
+}
+
+// spillWriteRun is the spill write entry point. Tests swap it to inject
+// disk faults: hard open errors, disk-full truncation mid-file, panics.
+var spillWriteRun = spill.WriteEncodedFile
+
+// spillRecs is the one spill path, shared by overflow admission and
+// largest-first eviction and always run inline by the admitting task: it
+// encodes recs with the job's codec, writes them to a fresh file in the
+// job's spill directory, and charges the spill to the task's counters and
+// the engine's stats and cost model. SPILLED_BYTES (and the disk cost)
+// is the stored length — compressed when a codec is configured — while
+// SPILLED_RAW_BYTES is the raw record-format length, so the ratio between
+// the two is the job's observable spill compression.
+func (x *jobExec) spillRecs(ctx *engine.TaskContext, recs []spill.Rec, keyClass, valClass string) (*spilledRun, error) {
+	enc, err := spill.EncodeRun(recs, x.codec)
+	if err != nil {
+		return nil, err
+	}
+	path, err := x.spillPath()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := spillWriteRun(path, enc); err != nil {
+		return nil, err
+	}
+	stored := int64(len(enc.Data))
+	ctx.Cells.SpilledRuns.Increment(1)
+	ctx.Cells.SpilledBytes.Increment(stored)
+	ctx.Cells.SpilledRawBytes.Increment(enc.Raw)
+	ctx.Cells.SpilledRecords.Increment(int64(len(recs)))
+	e := x.e
+	e.stats.Add(sim.SpillBytes, stored)
+	e.stats.Add(sim.SpillRawBytes, enc.Raw)
+	e.stats.Add(sim.SpillFiles, 1)
+	e.cost.ChargeDisk(e.stats, stored)
+	return &spilledRun{path: path, keyClass: keyClass, valClass: valClass}, nil
 }
 
 // spillPath returns a fresh file path for one spilled run, creating the
@@ -623,21 +658,16 @@ func (x *jobExec) spillPath() (string, error) {
 	return filepath.Join(x.spillDir, fmt.Sprintf("run_%06d", x.spillSeq.Add(1))), nil
 }
 
-// cleanup tears the spill pipeline down at job end (success or failure):
-// every spill worker is drained first — no goroutine outlives the job, and
-// no queued write can race the directory removal — then the job's budget
-// reservations return to the pool, then the spill directory goes. The
-// budget drain is the pool's end-of-job guarantee: a job that failed
-// mid-shuffle (installed runs whose reducers never ran) must still hand
-// every byte back, or a long-lived engine's shared pool would bleed
-// capacity on every failure. On the success path the releasing readers
-// already returned everything and both drains are no-ops. All task
+// cleanup tears the shuffle state down at job end (success or failure):
+// the job's budget reservations return to the pool, then the spill
+// directory goes. The budget drain is the pool's end-of-job guarantee: a
+// job that failed mid-shuffle (installed runs whose reducers never ran)
+// must still hand every byte back, or a long-lived engine's shared pool
+// would bleed capacity on every failure. On the success path the releasing
+// readers already returned everything and the drain is a no-op. All task
 // goroutines are joined before Submit's deferred cleanup runs, so no
-// release can race the drain.
+// release or spill write can race it.
 func (x *jobExec) cleanup() {
-	for _, q := range x.spillQ {
-		q.drain() // a worker error already surfaced through the job
-	}
 	for _, jb := range x.budgets {
 		jb.Drain()
 	}
@@ -652,17 +682,6 @@ func (x *jobExec) cleanupSpill() {
 		os.RemoveAll(x.spillDir)
 		x.spillDir = ""
 	}
-}
-
-// noteSpillQueueDepth records the deepest spill-queue backlog any place saw
-// (SPILL_QUEUE_DEPTH): how far map flush ran ahead of the disk.
-func (x *jobExec) noteSpillQueueDepth(hw int64) {
-	x.cmu.Lock()
-	c := x.jc.Find(counters.M3RGroup, counters.SpillQueueDepth)
-	if hw > c.Value() {
-		c.SetValue(hw)
-	}
-	x.cmu.Unlock()
 }
 
 // foldPairStats adds a finished task's clone, alias and local-delivery
@@ -816,17 +835,6 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			}
 			if err := x.lc.Err(); err != nil {
 				return err
-			}
-			// The barrier extends over the async spill pipeline: after it,
-			// no map task anywhere can enqueue, so draining this place's
-			// worker guarantees every overflow run bound for this place's
-			// partitions is on disk and installed before a reducer opens
-			// its merge — and a spill-worker failure fails the job here.
-			if x.spillQ != nil {
-				if err := x.spillQ[p].drain(); err != nil {
-					return err
-				}
-				x.noteSpillQueueDepth(x.spillQ[p].highWater.Load())
 			}
 			// Past the barrier no map task can contend the budget, so the
 			// largest-first policy has no more victims to pick: drop the
@@ -1057,13 +1065,10 @@ type sourceRun struct {
 // spilledRun locates one run spilled in the shared spill record format.
 // The key/value class names ride in memory (not on disk, keeping the file
 // format byte-identical to the Hadoop engine's) so the merge leaf can
-// deserialize records back into writables; size is the run's budget
-// accounting size, so readmission can reserve before promoting it back to
-// memory.
+// deserialize records back into writables.
 type spilledRun struct {
 	path               string
 	keyClass, valClass string
-	size               int64
 }
 
 // addRun installs one source task's sorted run. Each map task contributes
@@ -1096,7 +1101,8 @@ func (pi *partitionInput) addRun(ctx *engine.TaskContext, src int, pairs []wio.P
 
 // admitEncodedRun runs the per-run admission path for an already encoded
 // run: the place's pool decides admission (with the largest-first eviction
-// loop under contention), and a run the pool cannot admit spills to disk.
+// loop under contention), and a run the pool cannot admit is written to
+// disk inline, before the flushing task moves on.
 func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pairs []wio.Pair,
 	recs []spill.Rec, keyClass, valClass string, size int64) error {
 	x := pi.x
@@ -1115,41 +1121,16 @@ func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pair
 		x.resident[pi.place].add(r, pi)
 		return nil
 	}
-	// Overflow: the run goes to disk. It is encoded to its exact on-disk
-	// segment bytes here, at admission time, so counters, stats and cost
-	// charge the stored (compressed) length before the write — identically
-	// whether the write happens inline or later on the spill worker — and
-	// so the queue's backlog holds compressed bytes, not raw ones.
-	enc, err := spill.EncodeRun(recs, x.codec)
+	// Overflow: a cancelled job stops paying for disk.
+	if err := x.lc.Err(); err != nil {
+		return err
+	}
+	sr, err := x.spillRecs(ctx, recs, keyClass, valClass)
 	if err != nil {
 		return err
 	}
-	x.chargeSpill(ctx, enc, len(recs))
-	req := spillReq{pi: pi, src: src, enc: enc, keyClass: keyClass, valClass: valClass, size: size}
-	if x.spillQ != nil {
-		return x.spillQ[pi.place].enqueue(req)
-	}
-	return writeSpill(x, req)
-}
-
-// chargeSpill charges one encoded run's spill to the task's counters and
-// the engine's stats/cost model — at admission time, not write time, so
-// the accounting is identical whether the write happens inline, on a spill
-// worker, or as a largest-first eviction. SPILLED_BYTES (and the disk
-// cost) is the stored length — compressed when a codec is configured —
-// while SPILLED_RAW_BYTES is the raw record-format length, so the ratio
-// between the two is the job's observable spill compression.
-func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nrecs int) {
-	stored := int64(len(enc.Data))
-	ctx.Cells.SpilledRuns.Increment(1)
-	ctx.Cells.SpilledBytes.Increment(stored)
-	ctx.Cells.SpilledRawBytes.Increment(enc.Raw)
-	ctx.Cells.SpilledRecords.Increment(int64(nrecs))
-	e := x.e
-	e.stats.Add(sim.SpillBytes, stored)
-	e.stats.Add(sim.SpillRawBytes, enc.Raw)
-	e.stats.Add(sim.SpillFiles, 1)
-	e.cost.ChargeDisk(e.stats, stored)
+	pi.install(&sourceRun{src: src, spill: sr})
+	return nil
 }
 
 // installRuns installs one map task's whole flush toward place — its sorted
@@ -1247,14 +1228,12 @@ func encodeRun(pairs []wio.Pair) ([]spill.Rec, string, string, int64, error) {
 // task, detaching them from the partition. Source order is the merge's
 // stability tie-break: equal keys surface in map-task order, exactly as the
 // old concatenate-then-stable-sort path produced them, whether a run stayed
-// resident, spilled, or was readmitted.
+// resident or spilled.
 //
 // Budgeted runs get the incremental-release wrapper: as the merge exhausts
 // (or abandons) a resident run, its reservation returns to the place's
 // accountant, so a long reduce phase frees memory while it is still
-// running. With readmission enabled, a spilled run whose size now fits the
-// freed budget is promoted back to a resident run here — decoded once,
-// merged from memory — instead of stream-decoding off disk.
+// running. Spilled runs stream-decode off disk.
 func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunReader, error) {
 	x := pi.x
 	pi.mu.Lock()
@@ -1272,17 +1251,6 @@ func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunRead
 				rd = releasingReader(rd, acct, r.size, ctx)
 			}
 			out = append(out, rd)
-			continue
-		}
-		if x.readmit && acct != nil && acct.Reserve(r.spill.size) {
-			pairs, err := readSpilledRun(r.spill)
-			if err != nil {
-				acct.Release(r.spill.size)
-				engine.CloseAllOnErr(out)
-				return nil, err
-			}
-			ctx.Cells.ReadmittedRuns.Increment(1)
-			out = append(out, releasingReader(engine.NewSliceRunReader(pairs), acct, r.spill.size, ctx))
 			continue
 		}
 		s, err := spill.OpenFile(r.spill.path)
@@ -1305,28 +1273,6 @@ func releasingReader(rd engine.RunReader, acct *engine.JobBudget, size int64, ct
 		acct.Release(size)
 		cell.Increment(size)
 	})
-}
-
-// readSpilledRun decodes a spilled run fully back into fresh writables —
-// the readmission read. The caller holds the run's budget reservation.
-func readSpilledRun(sr *spilledRun) ([]wio.Pair, error) {
-	s, err := spill.OpenFile(sr.path)
-	if err != nil {
-		return nil, err
-	}
-	rd := engine.NewDecodingRunReader(s, sr.keyClass, sr.valClass)
-	defer rd.Close()
-	var pairs []wio.Pair
-	for {
-		p, ok, err := rd.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return pairs, nil
-		}
-		pairs = append(pairs, p)
-	}
 }
 
 // runReduceTask executes one reduce partition at its stable place.

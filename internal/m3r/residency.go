@@ -6,7 +6,6 @@ import (
 
 	"m3r/internal/engine"
 	"m3r/internal/sim"
-	"m3r/internal/spill"
 )
 
 // This file implements the largest-first spill policy's resident-run index.
@@ -109,10 +108,9 @@ func (rs *residentSet) size() int {
 // resident to spilled in place — same src, same partition — so the merge's
 // source-order tie-break, and with it the byte-identical-output guarantee,
 // is untouched; the only observable differences are the freed budget and
-// the spill/eviction counters. The write is synchronous: eviction happens
-// inside an admission already stalled on memory, and routing it through the
-// spill queue would let the admission succeed before the victim's bytes are
-// actually on their way to disk.
+// the spill/eviction counters. The write is synchronous, like every spill:
+// the admission that asked for the room only succeeds once the victim's
+// bytes are on disk.
 func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (int64, error) {
 	victim, pi := x.resident[place].takeLargest(min)
 	if victim == nil {
@@ -126,24 +124,16 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 		// rather than silently dropping the eviction candidate.
 		return 0, fmt.Errorf("m3r: re-encoding resident run for eviction: %w", err)
 	}
-	enc, err := spill.EncodeRun(recs, x.codec)
+	sr, err := x.spillRecs(ctx, recs, keyClass, valClass)
 	if err != nil {
-		return 0, err
-	}
-	path, err := x.spillPath()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := spillWriteRun(path, enc); err != nil {
 		return 0, err
 	}
 	size := victim.size
 	pi.mu.Lock()
 	victim.pairs = nil
 	victim.size = 0
-	victim.spill = &spilledRun{path: path, keyClass: keyClass, valClass: valClass, size: size}
+	victim.spill = sr
 	pi.mu.Unlock()
-	x.chargeSpill(ctx, enc, len(recs))
 	ctx.Cells.EvictedResidentRuns.Increment(1)
 	x.e.stats.Add(sim.EvictedRuns, 1)
 	return size, nil

@@ -33,7 +33,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	}
 
 	// Unbudgeted reference for the byte-identity check.
-	ref := newSpillExec(0, 0, false, spill.CodecNone)
+	ref := newSpillExec(0, spill.CodecNone)
 	refPi := &partitionInput{x: ref, place: 0}
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 	for src, pairs := range [][]wio.Pair{textRun("aaaaaa", 60), textRun("b", 10), textRun("c", 10)} {
@@ -47,7 +47,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	}
 	want := drainMerge(t, ref, refReaders)
 
-	x := newSpillExec(bigSize, 0, false, spill.CodecNone) // budget = exactly the big run
+	x := newSpillExec(bigSize, spill.CodecNone) // budget = exactly the big run
 	defer x.cleanup()
 	pi := &partitionInput{x: x, place: 0}
 	ctx = engine.NewTaskContext(conf.NewJob(), "task", nil)
@@ -124,7 +124,7 @@ func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newSpillExec(size, 0, false, spill.CodecNone)
+	x := newSpillExec(size, spill.CodecNone)
 	defer x.cleanup()
 	pi := &partitionInput{x: x, place: 0}
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
@@ -158,7 +158,7 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newSpillExec(bigSize, 0, false, spill.CodecNone)
+	x := newSpillExec(bigSize, spill.CodecNone)
 	pi := &partitionInput{x: x, place: 0}
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 	if err := pi.addRun(ctx, 0, big); err != nil {

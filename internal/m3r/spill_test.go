@@ -30,15 +30,16 @@ func swapSpillWrite(t *testing.T, fn func(string, spill.EncodedRun) (int64, erro
 	t.Cleanup(func() { spillWriteRun = orig })
 }
 
-// newFaultEngine builds an M3R engine over a scratch HDFS with wordcount
-// data at /data/t, for driving whole jobs through the spill pipeline.
+// newFaultEngine builds a pooled M3R engine (a roomy 1 MiB pool per place,
+// so the job's cap governs) over a scratch HDFS with wordcount data at
+// /data/t, for driving whole jobs through the spill path.
 func newFaultEngine(t *testing.T, places int) *Engine {
 	t.Helper()
 	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Options{Backing: backing, Places: places, Stats: sim.NewStats()})
+	e, err := New(Options{Backing: backing, Places: places, Stats: sim.NewStats(), ShuffleBudgetBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +50,34 @@ func newFaultEngine(t *testing.T, places int) *Engine {
 	return e
 }
 
-// spillingJob returns a WordCount job whose every shuffle run overflows the
-// budget (budget 1 byte) and goes through a depth-2 async spill queue.
-func spillingJob(out string) *conf.JobConf {
+// spillingJob returns a WordCount job capped at jobCap bytes per place
+// within the engine pool: 1 spills every run; faultJobCap keeps some runs
+// resident and spills the rest.
+func spillingJob(out string, jobCap int64) *conf.JobConf {
 	job := wordcount.NewJob("/data/t", out, 3, true)
-	job.SetInt64(conf.KeyM3RShuffleBudget, 1)
-	job.SetInt(conf.KeyM3RSpillQueue, 2)
+	job.SetInt64(conf.KeyM3RShuffleBudget, jobCap)
 	return job
+}
+
+// faultJobCap is the per-job cap the spill fault tests run under: tight
+// enough that runs spill, roomy enough that earlier runs sit resident
+// in the pool when the fault lands, so the drain-to-zero check has bytes to
+// drain. requireMixedSpill pins that geometry.
+const faultJobCap = 2 << 10
+
+// requireMixedSpill runs the fault tests' job fault-free on e and fails the
+// test unless it both spills at least two runs and keeps some resident.
+func requireMixedSpill(t *testing.T, e *Engine) {
+	t.Helper()
+	rep, err := e.Submit(spillingJob("/out/geometry", faultJobCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
+	released := rep.Counters.Value(counters.M3RGroup, counters.BudgetReleasedBytes)
+	if spilled < 2 || released == 0 {
+		t.Fatalf("test geometry broken: %d spilled runs, %d resident bytes released", spilled, released)
+	}
 }
 
 // scopeSpillDirs points the process temp dir at a fresh per-test root, so
@@ -78,41 +100,11 @@ func leftoverSpillDirs(t *testing.T, root string) int {
 	return len(m)
 }
 
-// TestSpillWorkerWriteErrorFailsJob injects a hard io failure into the
-// spill worker's second write: the job must fail with that error, every
-// spill still queued must be cancelled (no write attempted after the
-// failure), and stream/buffer accounting must sit at baseline afterwards.
-func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
-	injected := errors.New("injected spill device error")
-	var calls, after atomic.Int64
-	var failed atomic.Bool
-	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
-		if failed.Load() {
-			after.Add(1)
-		}
-		if calls.Add(1) == 2 {
-			failed.Store(true)
-			return 0, injected
-		}
-		return spill.WriteEncodedFile(path, enc)
-	})
-
-	root := scopeSpillDirs(t)
-	e := newFaultEngine(t, 1)
-	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
-	_, err := e.Submit(spillingJob("/out/wc"))
-	if err == nil {
-		t.Fatal("job with failing spill worker succeeded")
-	}
-	if !errors.Is(err, injected) {
-		t.Fatalf("job error does not carry the injected failure: %v", err)
-	}
-	if calls.Load() < 2 {
-		t.Fatalf("spill worker attempted %d writes, fault never hit", calls.Load())
-	}
-	if n := after.Load(); n != 0 {
-		t.Errorf("%d spill writes attempted after the failure: queued spills were not cancelled", n)
-	}
+// assertSpillTeardown checks what every failed spilling job must leave
+// behind: nothing. No open spill stream, no pooled encode buffer checked
+// out, no spill scratch dir, and no byte held in the engine pool.
+func assertSpillTeardown(t *testing.T, e *Engine, root string, streamBase, bufBase int64) {
+	t.Helper()
 	if got := spill.OpenStreamCount(); got != streamBase {
 		t.Errorf("OpenStreamCount %d, baseline %d: leaked spill streams", got, streamBase)
 	}
@@ -122,14 +114,49 @@ func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
 	if n := leftoverSpillDirs(t, root); n != 0 {
 		t.Errorf("%d spill scratch dirs left behind", n)
 	}
+	if held := e.ShufflePoolHeldBytes(); held != 0 {
+		t.Errorf("pool holds %d bytes after the failed job", held)
+	}
+}
+
+// TestSpillWorkerWriteErrorFailsJob injects a hard io failure into the
+// second spill write, made inline by the place worker running the flushing
+// map task: the task fails, and with it the job, carrying the injected
+// error; nothing is left behind.
+func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
+	root := scopeSpillDirs(t)
+	e := newFaultEngine(t, 2)
+	requireMixedSpill(t, e)
+
+	injected := errors.New("injected spill device error")
+	var calls atomic.Int64
+	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
+		if calls.Add(1) == 2 {
+			return 0, injected
+		}
+		return spill.WriteEncodedFile(path, enc)
+	})
+	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+	_, err := e.Submit(spillingJob("/out/wc", faultJobCap))
+	if err == nil {
+		t.Fatal("job with a failing spill write succeeded")
+	}
+	if !errors.Is(err, injected) {
+		t.Fatalf("job error does not carry the injected failure: %v", err)
+	}
+	assertSpillTeardown(t, e, root, streamBase, bufBase)
 }
 
 // TestSpillWorkerDiskFullFailsJob simulates the disk filling mid-run-file:
-// the worker's write leaves a truncated file and reports ENOSPC. The job
-// must fail with ENOSPC, remote-shuffle encode buffers must return to the
-// pool (the failure crosses the map flush path of a multi-place shuffle),
-// and the partial spill file must be cleaned up with the job.
+// the first inline spill write leaves a truncated file and reports ENOSPC.
+// The job must fail with ENOSPC, remote-shuffle encode buffers must return
+// to the pool (the failure crosses the map flush path of a multi-place
+// shuffle), and the partial spill file must be cleaned up with the job.
 func TestSpillWorkerDiskFullFailsJob(t *testing.T) {
+	root := scopeSpillDirs(t)
+	e := newFaultEngine(t, 2)
+	requireMixedSpill(t, e)
+
 	var calls atomic.Int64
 	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
 		if calls.Add(1) == 1 {
@@ -138,64 +165,50 @@ func TestSpillWorkerDiskFullFailsJob(t *testing.T) {
 		}
 		return spill.WriteEncodedFile(path, enc)
 	})
-
-	root := scopeSpillDirs(t)
-	e := newFaultEngine(t, 2)
 	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
-	_, err := e.Submit(spillingJob("/out/wc"))
+	_, err := e.Submit(spillingJob("/out/wc", faultJobCap))
 	if err == nil {
 		t.Fatal("job with full disk succeeded")
 	}
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("job error does not carry ENOSPC: %v", err)
 	}
-	if got := spill.OpenStreamCount(); got != streamBase {
-		t.Errorf("OpenStreamCount %d, baseline %d", got, streamBase)
-	}
-	if got := encodeBufsOut.Load(); got != bufBase {
-		t.Errorf("encode buffers out %d, baseline %d", got, bufBase)
-	}
-	if n := leftoverSpillDirs(t, root); n != 0 {
-		t.Errorf("%d spill scratch dirs (with the partial file) left behind", n)
-	}
+	assertSpillTeardown(t, e, root, streamBase, bufBase)
 }
 
-// TestSpillWorkerPanicDoesNotHang: a panic under the spill write path must
-// convert to a job failure — the worker keeps draining its queue so map
-// tasks blocked on a full queue always unblock, and Submit returns.
+// TestSpillWorkerPanicDoesNotHang: a panic under the inline spill write
+// unwinds the place worker's flushing map task into its recover, which
+// fails the job with the panic; Submit returns and nothing is left behind.
 func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
+	root := scopeSpillDirs(t)
+	e := newFaultEngine(t, 2)
+	requireMixedSpill(t, e)
+
 	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
 		panic("simulated corruption in the spill encoder")
 	})
-
-	root := scopeSpillDirs(t)
-	e := newFaultEngine(t, 1)
-	_, err := e.Submit(spillingJob("/out/wc"))
+	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+	_, err := e.Submit(spillingJob("/out/wc", faultJobCap))
 	if err == nil {
-		t.Fatal("job with panicking spill worker succeeded")
+		t.Fatal("job with a panicking spill write succeeded")
 	}
-	if !strings.Contains(err.Error(), "spill worker panicked") {
-		t.Fatalf("panic not surfaced as a worker failure: %v", err)
+	if !strings.Contains(err.Error(), "panicked: simulated corruption in the spill encoder") {
+		t.Fatalf("panic not surfaced as a map task failure: %v", err)
 	}
-	if n := leftoverSpillDirs(t, root); n != 0 {
-		t.Errorf("%d spill scratch dirs left behind", n)
-	}
+	assertSpillTeardown(t, e, root, streamBase, bufBase)
 }
 
-// --- white-box lifecycle: release + readmission ---
+// --- white-box lifecycle: admission, spill, release ---
 
 // newSpillExec builds a minimal one-place jobExec for exercising the
 // partitionInput lifecycle without a cluster.
-func newSpillExec(budget int64, queueDepth int, readmit bool, codec spill.Codec) *jobExec {
+func newSpillExec(budget int64, codec spill.Codec) *jobExec {
 	e := &Engine{stats: sim.NewStats(), cost: sim.Zero()}
 	x := &jobExec{e: e, jobID: "job_test_0001", jc: counters.New(),
-		shuffleBudget: budget, readmit: readmit, codec: codec}
+		shuffleBudget: budget, codec: codec}
 	if budget > 0 {
 		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.jobID, 0)}
 		x.resident = []*residentSet{newResidentSet()}
-		if queueDepth > 0 {
-			x.spillQ = []*spillQueue{newSpillQueue(x, 0, queueDepth)}
-		}
 	}
 	return x
 }
@@ -233,13 +246,13 @@ func drainMerge(t *testing.T, x *jobExec, readers []engine.RunReader) []string {
 	}
 }
 
-// TestBudgetReleaseAndReadmission walks the full lifecycle deterministically:
-// a resident run fills the budget, later runs spill, draining the first
-// partition releases its bytes (BUDGET_RELEASED_BYTES), and the next
-// partition's merge-open readmits its spilled run into the freed budget
-// (READMITTED_RUNS) — with the readmitted merge byte-identical to the
-// stream-backed one.
-func TestBudgetReleaseAndReadmission(t *testing.T) {
+// TestBudgetReleaseDuringReduce walks the lifecycle deterministically: a
+// resident run fills the budget, later runs spill, and draining the first
+// partition releases its bytes (BUDGET_RELEASED_BYTES). The next
+// partition's spilled run stays on disk even with the budget free — it
+// stream-decodes, holds no reservation, and merges byte-identically to the
+// unbudgeted run.
+func TestBudgetReleaseDuringReduce(t *testing.T) {
 	runA, runB, runC := textRun("a", 40), textRun("b", 40), textRun("c", 40)
 	_, _, _, size, err := encodeRun(runA)
 	if err != nil {
@@ -247,7 +260,7 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 	}
 
 	// Reference: what partition 2's merge must yield, from an unbudgeted run.
-	ref := newSpillExec(0, 0, false, spill.CodecNone)
+	ref := newSpillExec(0, spill.CodecNone)
 	refPi := &partitionInput{x: ref, place: 0}
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 	if err := refPi.addRun(ctx, 0, textRun("c", 40)); err != nil {
@@ -259,7 +272,7 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 	}
 	want := drainMerge(t, ref, refReaders)
 
-	x := newSpillExec(size, 0, true, spill.CodecNone) // budget = exactly one run
+	x := newSpillExec(size, spill.CodecNone) // budget = exactly one run
 	defer x.cleanup()
 	pi1 := &partitionInput{x: x, place: 0}
 	pi2 := &partitionInput{x: x, place: 0}
@@ -279,8 +292,8 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 		t.Fatalf("held=%d want %d after collect", got, size)
 	}
 
-	// Partition 1 reduces: B cannot readmit (budget still full), so it
-	// stream-decodes; draining the merge releases A's reservation.
+	// Partition 1 reduces: B stream-decodes; draining the merge releases A's
+	// reservation.
 	streamBase := spill.OpenStreamCount()
 	r1, err := pi1.takeReaders(ctx)
 	if err != nil {
@@ -298,56 +311,48 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 	if got := ctx.Cells.BudgetReleasedBytes.Value(); got != size {
 		t.Fatalf("BudgetReleasedBytes=%d want %d", got, size)
 	}
-	if got := ctx.Cells.ReadmittedRuns.Value(); got != 0 {
-		t.Fatalf("ReadmittedRuns=%d want 0 so far", got)
-	}
 
-	// Partition 2 opens with the budget free: C readmits into memory — no
-	// stream stays open past the decode — and merges byte-identically.
+	// Partition 2 opens with the budget free: C still stream-decodes off
+	// disk, reserves nothing, and merges byte-identically.
 	r2, err := pi2.takeReaders(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spill.OpenStreamCount(); got != streamBase {
-		t.Fatalf("OpenStreamCount=%d want %d: readmitted run must not hold a stream", got, streamBase)
+	if got := spill.OpenStreamCount(); got != streamBase+1 {
+		t.Fatalf("OpenStreamCount=%d want %d: run C should be stream-backed", got, streamBase+1)
 	}
-	if got := ctx.Cells.ReadmittedRuns.Value(); got != 1 {
-		t.Fatalf("ReadmittedRuns=%d want 1", got)
-	}
-	if got := x.budgets[0].Held(); got != size {
-		t.Fatalf("held=%d want %d while readmitted run is live", got, size)
+	if got := x.budgets[0].Held(); got != 0 {
+		t.Fatalf("held=%d want 0: a spilled run holds no reservation", got)
 	}
 	got := drainMerge(t, x, r2)
 	if len(got) != len(want) {
-		t.Fatalf("readmitted merge %d pairs vs %d", len(got), len(want))
+		t.Fatalf("spilled merge %d pairs vs %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("pair %d differs after readmission", i)
+			t.Fatalf("pair %d differs from the unbudgeted merge", i)
 		}
 	}
-	if held := x.budgets[0].Held(); held != 0 {
-		t.Fatalf("held=%d want 0 after everything drained", held)
+	if got := spill.OpenStreamCount(); got != streamBase {
+		t.Fatalf("OpenStreamCount=%d want %d after everything drained", got, streamBase)
 	}
-	if rel := ctx.Cells.BudgetReleasedBytes.Value(); rel != 2*size {
-		t.Fatalf("BudgetReleasedBytes=%d want %d", rel, 2*size)
+	if rel := ctx.Cells.BudgetReleasedBytes.Value(); rel != size {
+		t.Fatalf("BudgetReleasedBytes=%d want %d", rel, size)
 	}
 }
 
-// FuzzSpillQueue feeds fuzzer-shaped runs through the spill lifecycle at a
-// fuzzer-chosen budget, queue depth and spill codec, and pins the three
-// invariants the pipeline promises at every setting: the merged stream is
-// byte-identical to the synchronous unqueued raw-codec path, no spill
-// stream stays open, and the accountant returns to zero once the merge
-// drains.
-func FuzzSpillQueue(f *testing.F) {
-	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(2), uint8(64), false, false)
-	f.Add([]byte("aaaa bbbb aaaa cccc"), uint8(5), uint8(1), uint8(4), true, true)
-	f.Add([]byte(""), uint8(1), uint8(0), uint8(0), false, false)
-	f.Add([]byte("pad pad pad compress me compress me"), uint8(2), uint8(3), uint8(16), true, true)
-	f.Fuzz(func(t *testing.T, data []byte, nruns, depth, budgetScale uint8, readmit, flate bool) {
+// FuzzInlineSpill feeds fuzzer-shaped runs through the budgeted admission
+// and inline spill path at a fuzzer-chosen budget and spill codec, and pins
+// the invariants the path promises at every setting: the merged stream is
+// byte-identical to the unbudgeted in-memory run, no spill stream stays
+// open, and the pool returns to zero once the merge drains.
+func FuzzInlineSpill(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(64), false)
+	f.Add([]byte("aaaa bbbb aaaa cccc"), uint8(5), uint8(4), true)
+	f.Add([]byte(""), uint8(1), uint8(0), false)
+	f.Add([]byte("pad pad pad compress me compress me"), uint8(2), uint8(16), true)
+	f.Fuzz(func(t *testing.T, data []byte, nruns, budgetScale uint8, flate bool) {
 		runs := int(nruns%6) + 1
-		queueDepth := int(depth % 4) // 0 = synchronous
 		budget := int64(budgetScale) * 8
 		codec := spill.CodecNone
 		if flate {
@@ -368,18 +373,13 @@ func FuzzSpillQueue(f *testing.F) {
 			return out
 		}
 
-		drive := func(budget int64, queueDepth int, readmit bool, codec spill.Codec) []string {
-			x := newSpillExec(budget, queueDepth, readmit, codec)
+		drive := func(budget int64, codec spill.Codec) []string {
+			x := newSpillExec(budget, codec)
 			defer x.cleanup()
 			pi := &partitionInput{x: x, place: 0}
 			ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 			for src, pairs := range mkRuns() {
 				if err := pi.addRun(ctx, src, pairs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, q := range x.spillQ {
-				if err := q.drain(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -398,14 +398,14 @@ func FuzzSpillQueue(f *testing.F) {
 		}
 
 		streamBase := spill.OpenStreamCount()
-		want := drive(0, 0, false, spill.CodecNone) // unbudgeted in-memory reference
-		got := drive(budget, queueDepth, readmit, codec)
+		want := drive(0, spill.CodecNone) // unbudgeted in-memory reference
+		got := drive(budget, codec)
 		if len(got) != len(want) {
-			t.Fatalf("budget=%d queue=%d readmit=%v: %d pairs vs %d", budget, queueDepth, readmit, len(got), len(want))
+			t.Fatalf("budget=%d codec=%s: %d pairs vs %d", budget, codec, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("budget=%d queue=%d readmit=%v: pair %d differs", budget, queueDepth, readmit, i)
+				t.Fatalf("budget=%d codec=%s: pair %d differs", budget, codec, i)
 			}
 		}
 		if n := spill.OpenStreamCount(); n != streamBase {
@@ -414,14 +414,14 @@ func FuzzSpillQueue(f *testing.F) {
 	})
 }
 
-// TestCompressedSpillChargesStoredBytesAndReadmitsRawSize pins the codec's
-// accounting contract end to end: with flate configured, SPILLED_BYTES
-// counts the stored (compressed) bytes and SPILLED_RAW_BYTES the raw
-// record-format bytes (so stored < raw on repetitive runs); the budget,
-// however, keeps accounting in raw in-memory sizes — a readmitted
-// compressed run reserves its full raw size, not its compressed one — and
-// the merge output stays byte-identical to the raw-codec lifecycle.
-func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
+// TestCompressedSpillChargesStoredBytes pins the codec's accounting
+// contract end to end: with flate configured, SPILLED_BYTES counts the
+// stored (compressed) bytes and SPILLED_RAW_BYTES the raw record-format
+// bytes (so stored < raw on repetitive runs); the budget, however, keeps
+// accounting in raw in-memory sizes — a resident run reserves its full raw
+// size under either codec — and the merge output stays byte-identical to
+// the raw-codec lifecycle.
+func TestCompressedSpillChargesStoredBytes(t *testing.T) {
 	_, _, _, size, err := encodeRun(textRun("aaaa", 40))
 	if err != nil {
 		t.Fatal(err)
@@ -429,12 +429,15 @@ func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
 
 	// Reference: the raw-codec lifecycle at identical settings.
 	drive := func(codec spill.Codec) ([]string, *engine.TaskContext, *jobExec) {
-		x := newSpillExec(size, 0, true, codec) // budget = exactly one run
+		x := newSpillExec(size, codec) // budget = exactly one run
 		pi1 := &partitionInput{x: x, place: 0}
 		pi2 := &partitionInput{x: x, place: 0}
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 		if err := pi1.addRun(ctx, 0, textRun("aaaa", 40)); err != nil { // resident
 			t.Fatal(err)
+		}
+		if held := x.budgets[0].Held(); held != size {
+			t.Fatalf("codec %s: resident run holds %d budget bytes, want raw size %d", codec, held, size)
 		}
 		if err := pi2.addRun(ctx, 0, textRun("cccc", 40)); err != nil { // spills
 			t.Fatal(err)
@@ -443,18 +446,10 @@ func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := drainMerge(t, x, r1) // releases A's reservation
-		// Partition 2 opens with budget free: C readmits from its
-		// compressed run file.
+		out := drainMerge(t, x, r1)
 		r2, err := pi2.takeReaders(ctx)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := ctx.Cells.ReadmittedRuns.Value(); got != 1 {
-			t.Fatalf("codec %s: ReadmittedRuns=%d want 1", codec, got)
-		}
-		if held := x.budgets[0].Held(); held != size {
-			t.Fatalf("codec %s: readmitted run holds %d budget bytes, want raw size %d", codec, held, size)
 		}
 		out = append(out, drainMerge(t, x, r2)...)
 		return out, ctx, x

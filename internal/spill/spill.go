@@ -270,11 +270,9 @@ func (sw *SegmentWriter) flushBlock() error {
 	return nil
 }
 
-// EncodedRun is one run encoded to its exact on-disk segment bytes. The
-// M3R engine encodes at admission time so the async spill queue can charge
-// counters and budget with the stored (compressed) length before the write
-// happens on the spill worker — and so the queue's backlog holds the
-// compressed bytes, not the raw ones.
+// EncodedRun is one run encoded to its exact on-disk segment bytes, so the
+// M3R engine can charge its spill counters with the stored (compressed)
+// length alongside the raw one.
 type EncodedRun struct {
 	Data []byte // the segment exactly as it will appear on disk
 	Raw  int64  // raw record-format length (EncodedLen of the records)
